@@ -22,21 +22,17 @@ Both paths are bitwise-identical by construction (pinned in
 is pure wall-clock.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
+from conftest import IS_CI, interleaved_times, median_ratio, record
 
 from repro.experiments import robustness
 from repro.learn.features import N_FEATURES
 from repro.learn.models import TrainingConfig, fit_model_batch, unstack_params
 from repro.learn.reference import fit_model_reference
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_learn.json"
 
-IS_CI = bool(os.environ.get("CI"))
 #: The ISSUE gate: >= 5x batched-vs-loop refit at the fleet shape.
 #: Softened on shared CI runners the same way the parallel bench is.
 MIN_REFIT_SPEEDUP = 3.0 if IS_CI else 5.0
@@ -46,6 +42,9 @@ MIN_REFIT_SPEEDUP = 3.0 if IS_CI else 5.0
 #: worth of 48-slot days.  (64, 2880) is the steady-state 60-day window.
 REFIT_SHAPES = ((64, 96), (256, 96), (64, 2880))
 GATE_SHAPE = (64, 96)
+#: Interleaved batched/loop rounds at the gate shape; the gate reads the
+#: median of their per-round ratios.
+GATE_ROUNDS = 5
 
 MATRIX_KWARGS = dict(
     n_days=45,
@@ -57,24 +56,6 @@ MATRIX_KWARGS = dict(
 )
 
 
-def _record(key, payload):
-    """Merge one benchmark's numbers into BENCH_learn.json.
-
-    Machine context is per entry (same policy as BENCH_parallel.json):
-    partial runs must not re-attribute numbers measured elsewhere.
-    """
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    payload = dict(payload)
-    payload["machine"] = {"cpu_count": os.cpu_count(), "ci": IS_CI}
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _refit_window(B, n, seed=12345):
     """A stacked training window shaped like the online kernel's."""
     rng = np.random.default_rng(seed)
@@ -84,80 +65,89 @@ def _refit_window(B, n, seed=12345):
     return X, y
 
 
-def _time_refit(kind, X, y, config, repeats=3):
-    """Best-of-``repeats`` seconds for batched and per-node-loop refits.
+def _time_refit(X, y, config, rounds):
+    """Batched and per-node-loop refits of both kinds, interleaved.
 
-    The loop reseeds per node from ``(seed, fit_count)`` exactly like
-    the kernel's ``engine="loop"`` path, which is what makes the two
-    bitwise-comparable in the first place.
+    Returns ``(fits, times)``: the last fit of each engine and kind, and
+    the seconds of every round (:func:`conftest.interleaved_times`),
+    keyed ``(kind, engine)``.  The loop reseeds per node from
+    ``(seed, fit_count)`` exactly like the kernel's ``engine="loop"``
+    path, which is what makes the two bitwise-comparable in the first
+    place.
     """
     B = X.shape[1]
-    batched_s = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        batched = fit_model_batch(
+    fits = {}
+
+    def batched(kind):
+        fits[kind, "batched"] = fit_model_batch(
             kind, X, y, config, np.random.default_rng([config.seed, 0])
         )
-        batched_s = min(batched_s, time.perf_counter() - start)
-    loop_s = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        loop = [
+
+    def loop(kind):
+        fits[kind, "loop"] = [
             fit_model_reference(
                 kind, X[:, b, :], y[:, b], config,
                 np.random.default_rng([config.seed, 0]),
             )
             for b in range(B)
         ]
-        loop_s = min(loop_s, time.perf_counter() - start)
-    return batched, loop, batched_s, loop_s
+
+    runs = {}
+    for kind in ("ridge", "gbm"):
+        runs[kind, "batched"] = lambda kind=kind: batched(kind)
+        runs[kind, "loop"] = lambda kind=kind: loop(kind)
+    return fits, interleaved_times(runs, rounds)
 
 
 def test_bench_learn_refit_speedup():
     """Batched refit kernels vs the scalar loop, gated at B=64, n=96."""
     config = TrainingConfig()
     entry = {"shapes": {}, "gate_shape": list(GATE_SHAPE)}
-    gate = {}
     for B, n in REFIT_SHAPES:
         X, y = _refit_window(B, n)
+        # Interleaved rounds where the gate needs a stable number; the
+        # recorded-only shapes get one (slow, honest) round.
+        rounds = GATE_ROUNDS if (B, n) == GATE_SHAPE else 1
+        fits, times = _time_refit(X, y, config, rounds)
         shape_entry = {}
-        # Best-of-3 where the gate needs a stable number; the
-        # recorded-only shapes get one (slow, honest) measurement.
-        repeats = 3 if (B, n) == GATE_SHAPE else 1
         for kind in ("ridge", "gbm"):
-            batched, loop, batched_s, loop_s = _time_refit(
-                kind, X, y, config, repeats=repeats
-            )
+            batched_s = float(np.median(times[kind, "batched"]))
+            loop_s = float(np.median(times[kind, "loop"]))
+            speedup = median_ratio(times[kind, "loop"], times[kind, "batched"])
             if (B, n) == GATE_SHAPE:
                 # The speedup claim only means anything if the two
                 # paths compute the same fit -- spot-check it here too.
                 for b in range(0, B, 16):
-                    got = unstack_params(batched, b)
-                    for key, value in loop[b].items():
+                    got = unstack_params(fits[kind, "batched"], b)
+                    for key, value in fits[kind, "loop"][b].items():
                         assert np.array_equal(got[key], value), (kind, b, key)
-                gate[kind] = (batched_s, loop_s)
             shape_entry[kind] = {
                 "batched_s": round(batched_s, 5),
                 "loop_s": round(loop_s, 5),
                 "batched_per_node_ms": round(1e3 * batched_s / B, 4),
-                "speedup": round(loop_s / batched_s, 2),
+                "speedup": round(speedup, 2),
             }
             print(
                 f"\nrefit {kind} B={B} n={n}: batched {batched_s * 1e3:.1f}ms "
-                f"vs loop {loop_s * 1e3:.1f}ms = {loop_s / batched_s:.2f}x"
+                f"vs loop {loop_s * 1e3:.1f}ms = {speedup:.2f}x "
+                f"(median of {rounds} interleaved rounds)"
             )
         entry["shapes"][f"B{B}_n{n}"] = shape_entry
+        if (B, n) == GATE_SHAPE:
+            gate_times = times
 
-    gbm_speedup = gate["gbm"][1] / gate["gbm"][0]
-    combined_speedup = (gate["ridge"][1] + gate["gbm"][1]) / (
-        gate["ridge"][0] + gate["gbm"][0]
+    gbm_speedup = median_ratio(gate_times["gbm", "loop"], gate_times["gbm", "batched"])
+    combined_speedup = median_ratio(
+        [r + g for r, g in zip(gate_times["ridge", "loop"], gate_times["gbm", "loop"])],
+        [r + g for r, g in zip(gate_times["ridge", "batched"], gate_times["gbm", "batched"])],
     )
     entry["gate"] = {
         "min_speedup": MIN_REFIT_SPEEDUP,
+        "rounds": GATE_ROUNDS,
         "gbm_speedup": round(gbm_speedup, 2),
         "combined_speedup": round(combined_speedup, 2),
     }
-    _record("refit_speedup", entry)
+    record("learn", "refit_speedup", entry)
     B, n = GATE_SHAPE
     assert gbm_speedup >= MIN_REFIT_SPEEDUP, (
         f"batched GBM refit at B={B}, n={n} is {gbm_speedup:.2f}x the "
@@ -203,7 +193,7 @@ def test_bench_learn_matrix_throughput():
         f"= {per_cell_s / stacked_s:.2f}x; stages "
         + ", ".join(f"{k}={v:.2f}s" for k, v in sorted(stages.items()))
     )
-    _record(
+    record("learn", 
         "matrix_throughput",
         {
             "n_days": MATRIX_KWARGS["n_days"],

@@ -21,12 +21,11 @@ root (uploaded as a CI artifact):
   cache is the point), block by block.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
+from conftest import IS_CI, record
 
 from repro.experiments.common import clear_batch_cache
 from repro.experiments.robustness import DEFAULT_SCENARIOS
@@ -36,9 +35,7 @@ from repro.management.fleet import FleetAggregate
 from repro.parallel import FleetPlan, ResultCache, run_fleet_blocks
 from repro.solar.datasets import clear_cache as clear_trace_cache
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
-IS_CI = bool(os.environ.get("CI"))
 MIN_PARALLEL_SPEEDUP = 1.3 if IS_CI else 2.0
 
 #: CI-sized run_all: long enough that unit work dominates dispatch,
@@ -73,24 +70,6 @@ MILLION_PLAN = FleetPlan(
     controllers=("kansal", "fixed"),
     capacities=(250.0, 9000.0),
 )
-
-
-def _record(key, payload):
-    """Merge one benchmark's numbers into BENCH_parallel.json.
-
-    Machine context is per entry (same policy as BENCH_sweep.json):
-    partial runs must not re-attribute numbers measured elsewhere.
-    """
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    payload = dict(payload)
-    payload["machine"] = {"cpu_count": os.cpu_count(), "ci": IS_CI}
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _timed_run_all(**kwargs):
@@ -129,7 +108,7 @@ def test_bench_parallel_run_all_backends():
             "dispatch_s": round(stats.dispatch_s, 4),
             "dispatch_per_unit_s": round(stats.dispatch_per_unit_s, 6),
         }
-    _record("run_all_backends", entry)
+    record("parallel", "run_all_backends", entry)
     print(
         f"\nrun_all({RUN_ALL_DAYS}d) backends: sequential {seq_s:.2f}s, "
         f"process {proc_s:.2f}s ({seq_s / proc_s:.2f}x), "
@@ -169,7 +148,7 @@ def test_bench_robustness_resume(tmp_path):
         f"cells from cache ({100 * hit_fraction:.0f}%), resumed "
         f"{resumed_s:.2f}s vs fresh {fresh_s:.2f}s"
     )
-    _record(
+    record("parallel", 
         "robustness_resume",
         {
             "n_days": ROBUSTNESS_KWARGS["n_days"],
@@ -214,7 +193,7 @@ def test_bench_fleet_sharded():
         f"({rate:,.0f} node-slots/sec, {100 * overhead:+.1f}% vs monolithic); "
         f"projected 1M-node year: {projected_hours:.1f}h on one core"
     )
-    _record(
+    record("parallel", 
         "fleet_sharded",
         {
             "n_nodes": FLEET_PLAN.n_nodes,
@@ -260,7 +239,7 @@ def test_bench_fleet_million_node_year(tmp_path):
     )
     elapsed = time.perf_counter() - start
     node_slots = aggregate.n_nodes * aggregate.total_slots
-    _record(
+    record("parallel", 
         "fleet_million_node_year",
         {
             "n_nodes": aggregate.n_nodes,

@@ -17,16 +17,13 @@ Measures the serve layer end to end and records the numbers into
 """
 
 import json
-import os
 import time
-from pathlib import Path
 
+from conftest import IS_CI, record
 from repro.serve import ForecastService
 from repro.solar.sites import SITE_ORDER
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
-IS_CI = bool(os.environ.get("CI"))
 
 #: Logical fleet size: hundreds of per-node predictors sharing the six
 #: synthetic datasets through the register op's ``dataset`` alias.
@@ -44,24 +41,6 @@ MIN_DURABLE_QPS = 30 if IS_CI else 60
 #: temp file + rename each) stay a few hundred IOs.
 N_DURABLE_SITES = 40
 DURABLE_ROUNDS = 5
-
-
-def _record(key, payload):
-    """Merge one benchmark's numbers into BENCH_serve.json.
-
-    Machine context is per entry (same policy as BENCH_parallel.json):
-    partial runs must not re-attribute numbers measured elsewhere.
-    """
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    payload = dict(payload)
-    payload["machine"] = {"cpu_count": os.cpu_count(), "ci": IS_CI}
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _query(service, request):
@@ -126,7 +105,7 @@ def test_bench_serve_query_throughput():
         f"({samples / replay_s:,.0f}/s), {queries} queries in "
         f"{query_s:.2f}s ({qps:,.0f} qps)"
     )
-    _record(
+    record("serve", 
         "query_throughput",
         {
             "n_sites": N_SITES,
@@ -177,7 +156,7 @@ def test_bench_serve_durable_observe(tmp_path):
         f"checkpoint_every=1 vs {rates['every_25']:,.0f} qps batched "
         f"({overhead:.1f}x)"
     )
-    _record(
+    record("serve", 
         "durable_observe",
         {
             "n_sites": N_DURABLE_SITES,

@@ -23,13 +23,11 @@ stack is tracked over time:
   core count are recorded either way.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import IS_CI, interleaved_times, median_ratio, record, run_once
 
 from repro.core.optimizer import (
     DEFAULT_ALPHAS,
@@ -44,7 +42,6 @@ from repro.experiments.runner import render_report, run_all
 from repro.solar.datasets import build_dataset
 from repro.solar.datasets import clear_cache as clear_trace_cache
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 SITE = "HSU"
 PAPER_N_VALUES = (288, 96, 72, 48, 24)
@@ -59,32 +56,14 @@ SCALE_GRID = dict(
     ks=tuple(range(1, 9)),
 )
 
-IS_CI = bool(os.environ.get("CI"))
 #: Wall-clock ratio gates, relaxed on shared CI runners (same policy as
 #: the fleet bench).
 MIN_SCALE_SPEEDUP = 3.0 if IS_CI else 5.0
 MIN_PAPER_SPEEDUP = 1.5 if IS_CI else 2.0
 MIN_PARALLEL_SPEEDUP = 1.3 if IS_CI else 2.0
-
-
-def _record(key, payload):
-    """Merge one benchmark's numbers into BENCH_sweep.json.
-
-    Machine context is stored per entry, not at the top level: partial
-    runs (e.g. the CI smoke job's ``-k`` subset) must not re-attribute
-    numbers measured elsewhere to the current machine.
-    """
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    payload = dict(payload)
-    payload["machine"] = {"cpu_count": os.cpu_count(), "ci": IS_CI}
-    data.pop("machine", None)  # drop the legacy top-level key
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+#: Interleaved fused/loop rounds behind each speedup gate; the gate
+#: reads the median of their per-round ratios.
+SPEEDUP_ROUNDS = 5
 
 
 def _grid_points(n_sweeps, alphas=DEFAULT_ALPHAS, days=DEFAULT_DAYS, ks=DEFAULT_KS):
@@ -106,7 +85,7 @@ def test_bench_sweep_throughput(benchmark, full_days):
         f"({len(PAPER_N_VALUES)} sweeps at N={PAPER_N_VALUES}) "
         f"in {seconds:.2f}s = {rate:,.0f} grid-points/sec"
     )
-    _record(
+    record("sweep", 
         "grid_search_throughput",
         {
             "site": SITE,
@@ -124,47 +103,72 @@ def test_bench_sweep_throughput(benchmark, full_days):
     assert rate > (1_000 if IS_CI else 5_000)
 
 
+def _paired_engines(trace, n_values, rounds, **grid):
+    """Fused and loop sweeps per N, in interleaved rounds.
+
+    Returns ``(results, times)``: the last result of each ``(N,
+    engine)`` and the seconds of every round, keyed the same way.
+    """
+    results = {}
+
+    def sweep(n, engine):
+        results[n, engine] = grid_search(trace, n, engine=engine, **grid)
+
+    runs = {
+        (n, engine): lambda n=n, engine=engine: sweep(n, engine)
+        for n in n_values
+        for engine in ("fused", "loop")
+    }
+    times = interleaved_times(runs, rounds)
+    for n in n_values:
+        np.testing.assert_allclose(
+            results[n, "fused"].errors, results[n, "loop"].errors,
+            atol=1e-12, rtol=0.0, equal_nan=True,
+        )
+    return results, times
+
+
+def _round_totals(times, n_values, engine):
+    """Per-round seconds of one engine summed over every N."""
+    return [sum(per_n) for per_n in zip(*(times[n, engine] for n in n_values))]
+
+
 def test_bench_sweep_fused_vs_loop_paper_grid(benchmark, full_days):
     """v2 engine vs the frozen pre-v2 loop on the paper's own grid."""
     trace = build_dataset(SITE, n_days=full_days)
-    per_n = {}
-    loop_total = fused_total = 0.0
 
     def fused_all():
         return [grid_search(trace, n) for n in PAPER_N_VALUES]
 
     results = run_once(benchmark, fused_all)
-    # per-N split measured outside the benchmark timer
-    for n in PAPER_N_VALUES:
-        t0 = time.perf_counter()
-        fused = grid_search(trace, n)
-        t_fused = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        loop = grid_search(trace, n, engine="loop")
-        t_loop = time.perf_counter() - t0
-        np.testing.assert_allclose(
-            fused.errors, loop.errors, atol=1e-12, rtol=0.0, equal_nan=True
-        )
-        loop_total += t_loop
-        fused_total += t_fused
-        per_n[f"N={n}"] = {
-            "loop_s": round(t_loop, 4),
-            "fused_s": round(t_fused, 4),
-            "speedup": round(t_loop / t_fused, 2),
+    # Gate and per-N split measured outside the benchmark timer.
+    _, times = _paired_engines(trace, PAPER_N_VALUES, SPEEDUP_ROUNDS)
+    per_n = {
+        f"N={n}": {
+            "loop_s": round(float(np.median(times[n, "loop"])), 4),
+            "fused_s": round(float(np.median(times[n, "fused"])), 4),
+            "speedup": round(median_ratio(times[n, "loop"], times[n, "fused"]), 2),
         }
-    speedup = loop_total / fused_total
+        for n in PAPER_N_VALUES
+    }
+    loop_rounds = _round_totals(times, PAPER_N_VALUES, "loop")
+    fused_rounds = _round_totals(times, PAPER_N_VALUES, "fused")
+    loop_total = float(np.median(loop_rounds))
+    fused_total = float(np.median(fused_rounds))
+    speedup = median_ratio(loop_rounds, fused_rounds)
     print(
         f"\nFused vs loop (paper grid, {full_days}d {SITE}): "
         f"loop {loop_total:.2f}s vs fused {fused_total:.2f}s "
-        f"({speedup:.2f}x) -- " + ", ".join(
-            f"{k} {v['speedup']}x" for k, v in per_n.items()
-        )
+        f"({speedup:.2f}x, median of {SPEEDUP_ROUNDS} interleaved rounds) -- "
+        + ", ".join(f"{k} {v['speedup']}x" for k, v in per_n.items())
     )
-    _record(
+    record(
+        "sweep",
         "fused_vs_loop_paper_grid",
         {
             "site": SITE,
             "n_days": full_days,
+            "rounds": SPEEDUP_ROUNDS,
             "loop_s": round(loop_total, 4),
             "fused_s": round(fused_total, 4),
             "speedup": round(speedup, 2),
@@ -183,30 +187,27 @@ def test_bench_sweep_fused_vs_loop_scale(benchmark):
     trace = build_dataset(SITE, n_days=SCALE_DAYS)
     grid_search(trace, SCALE_N, **SCALE_GRID)  # warm trace/slot caches
 
-    fused = run_once(benchmark, grid_search, trace, SCALE_N, **SCALE_GRID)
-    fused_seconds = benchmark.stats["mean"]
-
-    t0 = time.perf_counter()
-    loop = grid_search(trace, SCALE_N, engine="loop", **SCALE_GRID)
-    loop_seconds = time.perf_counter() - t0
-
-    np.testing.assert_allclose(
-        fused.errors, loop.errors, atol=1e-12, rtol=0.0, equal_nan=True
-    )
-    speedup = loop_seconds / fused_seconds
+    run_once(benchmark, grid_search, trace, SCALE_N, **SCALE_GRID)
+    _, times = _paired_engines(trace, (SCALE_N,), SPEEDUP_ROUNDS, **SCALE_GRID)
+    fused_seconds = float(np.median(times[SCALE_N, "fused"]))
+    loop_seconds = float(np.median(times[SCALE_N, "loop"]))
+    speedup = median_ratio(times[SCALE_N, "loop"], times[SCALE_N, "fused"])
     points = _grid_points(1, **SCALE_GRID)
     print(
         f"\nFused vs loop (scale: {SCALE_DAYS}d, N={SCALE_N}, "
         f"{points:,} grid points): loop {loop_seconds:.2f}s vs "
-        f"fused {fused_seconds:.2f}s ({speedup:.2f}x)"
+        f"fused {fused_seconds:.2f}s ({speedup:.2f}x, median of "
+        f"{SPEEDUP_ROUNDS} interleaved rounds)"
     )
-    _record(
+    record(
+        "sweep",
         "fused_vs_loop_scale_grid",
         {
             "site": SITE,
             "n_days": SCALE_DAYS,
             "n_slots": SCALE_N,
             "grid_points": points,
+            "rounds": SPEEDUP_ROUNDS,
             "loop_s": round(loop_seconds, 4),
             "fused_s": round(fused_seconds, 4),
             "speedup": round(speedup, 2),
@@ -244,7 +245,7 @@ def test_bench_run_all_parallel(benchmark, full_days):
         f"chunk={exec_stats.chunk_size} "
         f"dispatch {1e3 * exec_stats.dispatch_per_unit_s:.2f} ms/unit"
     )
-    _record(
+    record("sweep", 
         "run_all_parallel",
         {
             "n_days": full_days,

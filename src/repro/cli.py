@@ -881,13 +881,17 @@ def _dispatch(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         try:
-            service = ForecastService(
-                n_slots=args.n,
-                predictor=args.predictor,
-                state_dir=args.state_dir,
-                checkpoint_every=args.checkpoint_every,
-                model_dir=args.model_dir,
-            )
+            try:
+                service = ForecastService(
+                    n_slots=args.n,
+                    predictor=args.predictor,
+                    state_dir=args.state_dir,
+                    checkpoint_every=args.checkpoint_every,
+                    model_dir=args.model_dir,
+                )
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             if args.http is not None:
                 return serve_http(service, port=args.http)
             return serve_stdin(service)

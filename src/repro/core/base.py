@@ -1,4 +1,4 @@
-"""Online predictor protocol and shared history machinery.
+"""Online predictor protocol and shared state machinery.
 
 Every predictor in this package follows the same node-side contract,
 mirroring the paper's Fig. 5 sequence: once per slot the node wakes,
@@ -12,6 +12,13 @@ slot.  In code::
 ``observe`` returns the prediction made *at* that boundary for the slot
 that is just beginning (equivalently, for the power at the next
 boundary -- ``ê(n+1)`` in the paper's notation).
+
+A fleet steps ``B`` such nodes in lock-step through a
+:class:`VectorPredictor`.  Each built-in online predictor is written
+once, as a :class:`PredictorState` subclass holding its validation,
+state, reset and snapshot code; its scalar and fleet classes are thin
+faces over it that add only ``observe``.  :class:`DayHistory` is the one
+ring buffer of past days, unbatched or with a trailing batch axis.
 """
 
 from __future__ import annotations
@@ -21,7 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["OnlinePredictor", "VectorPredictor", "DayHistory", "FleetDayHistory"]
+__all__ = [
+    "OnlinePredictor",
+    "VectorPredictor",
+    "PredictorState",
+    "DayHistory",
+]
 
 
 class OnlinePredictor(abc.ABC):
@@ -71,8 +83,10 @@ class OnlinePredictor(abc.ABC):
     def state_dict(self) -> dict:
         """Snapshot of the online state, sufficient to resume exactly.
 
-        Predictors that support checkpoint/resume (WCMA, EWMA) override
-        this together with :meth:`load_state_dict`; restoring the
+        Predictors that support checkpoint/resume override this together
+        with :meth:`load_state_dict` -- the built-in online predictors
+        through their :class:`PredictorState`, the learned tier through
+        its kernel; restoring the
         snapshot into a freshly constructed predictor and continuing
         must be indistinguishable from never having stopped.  The
         serving layer (:mod:`repro.serve`) persists these snapshots
@@ -173,29 +187,122 @@ def as_batch(values, batch_size: int) -> np.ndarray:
     return values
 
 
+class PredictorState:
+    """Configuration, state and snapshot code shared by a predictor's faces.
+
+    Each built-in online predictor is written once, as a subclass of
+    this class that owns its constructor validation, its state arrays,
+    ``reset`` and ``state_dict``/``load_state_dict``.  With
+    ``batch_size=None`` the state is unbatched; with an int, every state
+    array grows a trailing batch axis for ``B`` lock-step nodes.  The
+    scalar face (an :class:`OnlinePredictor`) and the fleet face (a
+    :class:`VectorPredictor`) both inherit that one subclass and add only
+    ``observe``; the two class trees stay otherwise disjoint.
+
+    Subclasses set :attr:`kind`, extend :meth:`config` with the settings
+    a snapshot must match, and return / restore their live state through
+    :meth:`_state` / :meth:`_load_state`.  Derived caches are never
+    snapshotted: they are marked stale on load and recomputed from the
+    restored state, so a resumed predictor emits the same bits as one
+    that never stopped.
+    """
+
+    #: Snapshot tag; loading a snapshot of another kind is refused.
+    kind: str
+
+    def __init__(self, n_slots: int, batch_size: Optional[int] = None):
+        if n_slots <= 0:
+            raise ValueError("n_slots must be positive")
+        if batch_size is not None and batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        self.n_slots = n_slots
+        self.batch_size = batch_size
+
+    def config(self) -> dict:
+        """Settings a snapshot must have been taken with to load here."""
+        return {}
+
+    def _state(self) -> dict:
+        """Value copies of the live state, for :meth:`state_dict`."""
+        return {}
+
+    def _load_state(self, state: dict) -> None:
+        """Restore what :meth:`_state` captured."""
+
+    def state_dict(self) -> dict:
+        """Snapshot of the online state, sufficient to resume exactly."""
+        return {
+            "kind": self.kind,
+            "n_slots": self.n_slots,
+            "batch_size": self.batch_size,
+            "config": self.config(),
+            **self._state(),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot (geometry and config must match)."""
+        if state.get("kind") != self.kind:
+            raise ValueError(
+                f"snapshot kind {state.get('kind')!r} is not {self.kind!r}"
+            )
+        taken = (state["n_slots"], state["batch_size"], state["config"])
+        mine = (self.n_slots, self.batch_size, self.config())
+        if taken != mine:
+            raise ValueError(
+                "snapshot was taken with n_slots={}, batch_size={}, config={}; "
+                "this predictor has n_slots={}, batch_size={}, config={}".format(
+                    *taken, *mine
+                )
+            )
+        self._load_state(state)
+
+
+def restore_array(target: np.ndarray, value, name: str) -> None:
+    """Copy a snapshot array into ``target`` in place (shapes must match)."""
+    value = np.asarray(value, dtype=target.dtype)
+    if value.shape != target.shape:
+        raise ValueError(
+            f"snapshot {name} has shape {value.shape}; expected {target.shape}"
+        )
+    target[...] = value
+
+
 class DayHistory:
     """Ring buffer of the last ``depth`` completed days of slot samples.
 
     Used by predictors that condition on "the same slot on previous
-    days" (WCMA's ``E_{D x N}`` matrix, EWMA's per-slot smoothing).
+    days" (WCMA's ``E_{D x N}`` matrix, the moving-average baselines,
+    the learned tier's day-history features).
 
     The buffer distinguishes *completed* days (full rows) from the
     current, partially observed day.  ``push_slot`` appends to the
     current day and automatically rolls it into history when the row
     fills up.
+
+    With ``batch_size=None`` each sample is a scalar and the buffer is
+    ``(depth, n_slots)``.  With an int ``B`` it holds ``B`` lock-step
+    nodes: the buffer is ``(depth, n_slots, B)``, each pushed sample is
+    a ``(B,)`` array, and every accessor gains the same trailing batch
+    axis.  The day/slot counters are shared scalars either way, because
+    a fleet crosses every boundary at once.
     """
 
-    def __init__(self, n_slots: int, depth: int):
+    def __init__(self, n_slots: int, depth: int, batch_size: Optional[int] = None):
         if n_slots <= 0:
             raise ValueError("n_slots must be positive")
         if depth <= 0:
             raise ValueError("depth must be positive")
+        if batch_size is not None and batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.n_slots = n_slots
         self.depth = depth
-        self._rows = np.zeros((depth, n_slots), dtype=float)
+        self.batch_size = batch_size
+        #: Trailing shape of one sample: ``()`` or ``(B,)``.
+        self.sample_shape = () if batch_size is None else (batch_size,)
+        self._rows = np.zeros((depth, n_slots) + self.sample_shape, dtype=float)
+        self._current = np.zeros((n_slots,) + self.sample_shape, dtype=float)
         self._n_complete = 0
         self._write_row = 0
-        self._current = np.zeros(n_slots, dtype=float)
         self._slot = 0
 
     # ------------------------------------------------------------------
@@ -214,8 +321,8 @@ class DayHistory:
         """Index of the next slot to be written on the current day."""
         return self._slot
 
-    def push_slot(self, value: float) -> None:
-        """Record the start-of-slot sample for the current slot."""
+    def push_slot(self, value) -> None:
+        """Record the start-of-slot sample (or ``(B,)`` samples) for the current slot."""
         self._current[self._slot] = value
         self._slot += 1
         if self._slot == self.n_slots:
@@ -224,30 +331,40 @@ class DayHistory:
             self._n_complete += 1
             self._slot = 0
 
-    def slot_mean(self, slot: int, depth: Optional[int] = None) -> float:
+    def recent_rows(self, depth: Optional[int] = None) -> np.ndarray:
+        """The last ``depth`` complete day rows (all available by default).
+
+        Oldest first, ``(use, n_slots)`` or ``(use, n_slots, B)`` with
+        ``use = min(depth, n_complete_days)``; a copy, not a view.
+        """
+        available = self.n_complete_days
+        use = available if depth is None else min(depth, available)
+        end = self._write_row
+        return self._rows[np.arange(end - use, end) % self.depth]
+
+    def slot_mean(self, slot: int, depth: Optional[int] = None):
         """Mean of ``slot``'s samples over the last ``depth`` complete days.
 
-        ``μ_D(slot)`` in the paper (Eq. 2).  Returns ``nan`` when no
-        complete day is available yet.
+        ``μ_D(slot)`` in the paper (Eq. 2): a float, or ``(B,)`` per
+        node.  NaN when no complete day is available yet.
         """
-        use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
-        if use == 0:
-            return float("nan")
-        rows = self._recent_rows(use)
-        return float(rows[:, slot % self.n_slots].mean())
+        rows = self.recent_rows(depth)
+        if not len(rows):
+            return float("nan") if self.batch_size is None else np.full(self.batch_size, np.nan)
+        return rows[:, slot % self.n_slots].mean(axis=0)
 
     def slot_column(self, slot: int, depth: Optional[int] = None) -> np.ndarray:
-        """Samples of ``slot`` over the last ``depth`` complete days (oldest first)."""
-        use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
-        if use == 0:
-            return np.empty(0, dtype=float)
-        return self._recent_rows(use)[:, slot % self.n_slots].copy()
+        """Samples of ``slot`` over the last ``depth`` complete days.
 
-    def _recent_rows(self, count: int) -> np.ndarray:
-        """The last ``count`` completed day rows, oldest first."""
-        end = self._write_row
-        idx = (np.arange(end - count, end)) % self.depth
-        return self._rows[idx]
+        ``(use,)`` or ``(use, B)``, oldest first; empty when no complete
+        day is available yet.
+        """
+        return self.recent_rows(depth)[:, slot % self.n_slots]
+
+    def mu_rows(self, depth: Optional[int] = None) -> Optional[np.ndarray]:
+        """``μ_D`` over every slot, ``(n_slots,)`` or ``(n_slots, B)``; None without history."""
+        rows = self.recent_rows(depth)
+        return rows.mean(axis=0) if len(rows) else None
 
     def reset(self) -> None:
         """Clear all state."""
@@ -262,140 +379,6 @@ class DayHistory:
         return {
             "n_slots": self.n_slots,
             "depth": self.depth,
-            "rows": self._rows.copy(),
-            "n_complete": self._n_complete,
-            "write_row": self._write_row,
-            "current": self._current.copy(),
-            "slot": self._slot,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (geometry must match)."""
-        if int(state["n_slots"]) != self.n_slots or int(state["depth"]) != self.depth:
-            raise ValueError(
-                f"history snapshot is {state['depth']}x{state['n_slots']}; "
-                f"this history is {self.depth}x{self.n_slots}"
-            )
-        rows = np.asarray(state["rows"], dtype=float)
-        current = np.asarray(state["current"], dtype=float)
-        if rows.shape != self._rows.shape or current.shape != self._current.shape:
-            raise ValueError(
-                f"history snapshot arrays have shapes {rows.shape}/"
-                f"{current.shape}; expected {self._rows.shape}/"
-                f"{self._current.shape}"
-            )
-        self._rows[...] = rows
-        self._current[...] = current
-        self._n_complete = int(state["n_complete"])
-        self._write_row = int(state["write_row"])
-        self._slot = int(state["slot"])
-
-
-class FleetDayHistory:
-    """Vectorized :class:`DayHistory`: one ring buffer for ``B`` nodes.
-
-    Because a fleet steps in lock-step, the day/slot counters are shared
-    scalars; only the sample values fan out over the batch axis.  The
-    buffer is therefore ``(depth, n_slots, B)`` and every accessor that
-    returns a per-slot scalar in :class:`DayHistory` returns a ``(B,)``
-    array here.
-    """
-
-    def __init__(self, n_slots: int, depth: int, batch_size: int):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if depth <= 0:
-            raise ValueError("depth must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.n_slots = n_slots
-        self.depth = depth
-        self.batch_size = batch_size
-        self._rows = np.zeros((depth, n_slots, batch_size), dtype=float)
-        self._n_complete = 0
-        self._write_row = 0
-        self._current = np.zeros((n_slots, batch_size), dtype=float)
-        self._slot = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def n_complete_days(self) -> int:
-        """Number of fully observed days available (capped at ``depth``)."""
-        return min(self._n_complete, self.depth)
-
-    @property
-    def total_days_completed(self) -> int:
-        """Days completed since reset (uncapped; grows forever)."""
-        return self._n_complete
-
-    @property
-    def current_slot(self) -> int:
-        """Index of the next slot to be written on the current day."""
-        return self._slot
-
-    def push_slot(self, values: np.ndarray) -> None:
-        """Record the ``(B,)`` start-of-slot samples for the current slot."""
-        self._current[self._slot] = values
-        self._slot += 1
-        if self._slot == self.n_slots:
-            self._rows[self._write_row] = self._current
-            self._write_row = (self._write_row + 1) % self.depth
-            self._n_complete += 1
-            self._slot = 0
-
-    def slot_mean(self, slot: int, depth: Optional[int] = None) -> np.ndarray:
-        """Per-node mean of ``slot`` over the last ``depth`` complete days.
-
-        ``(B,)``; NaN when no complete day is available yet.
-        """
-        use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
-        if use == 0:
-            return np.full(self.batch_size, np.nan)
-        rows = self._recent_rows(use)
-        return rows[:, slot % self.n_slots, :].mean(axis=0)
-
-    def slot_history(self, slot: int, depth: Optional[int] = None) -> np.ndarray:
-        """Samples of ``slot`` over the last ``depth`` complete days.
-
-        ``(use, B)``, oldest first (the fleet counterpart of
-        :meth:`DayHistory.slot_column`); empty when no complete day is
-        available yet.
-        """
-        use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
-        if use == 0:
-            return np.empty((0, self.batch_size), dtype=float)
-        return self._recent_rows(use)[:, slot % self.n_slots, :].copy()
-
-    def mu_rows(self, depth: Optional[int] = None) -> Optional[np.ndarray]:
-        """Per-node ``μ_D`` over every slot: ``(n_slots, B)`` or None.
-
-        The fleet counterpart of the cached ``_mu_row`` the online WCMA
-        predictor recomputes once per day.
-        """
-        use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
-        if use == 0:
-            return None
-        return self._recent_rows(use).mean(axis=0)
-
-    def _recent_rows(self, count: int) -> np.ndarray:
-        """The last ``count`` completed day rows, oldest first."""
-        end = self._write_row
-        idx = (np.arange(end - count, end)) % self.depth
-        return self._rows[idx]
-
-    def reset(self) -> None:
-        """Clear all state."""
-        self._rows.fill(0.0)
-        self._current.fill(0.0)
-        self._n_complete = 0
-        self._write_row = 0
-        self._slot = 0
-
-    def state_dict(self) -> dict:
-        """Snapshot of the fleet ring buffer (value copies, not views)."""
-        return {
-            "n_slots": self.n_slots,
-            "depth": self.depth,
             "batch_size": self.batch_size,
             "rows": self._rows.copy(),
             "n_complete": self._n_complete,
@@ -406,26 +389,17 @@ class FleetDayHistory:
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (geometry must match)."""
-        if (
-            int(state["n_slots"]) != self.n_slots
-            or int(state["depth"]) != self.depth
-            or int(state["batch_size"]) != self.batch_size
-        ):
+        taken = (state["depth"], state["n_slots"], state["batch_size"])
+        mine = (self.depth, self.n_slots, self.batch_size)
+        if taken != mine:
             raise ValueError(
-                f"fleet history snapshot is {state['depth']}x{state['n_slots']}"
-                f"xB{state['batch_size']}; this history is "
-                f"{self.depth}x{self.n_slots}xB{self.batch_size}"
+                "history snapshot is depth={} n_slots={} batch_size={}; "
+                "this history is depth={} n_slots={} batch_size={}".format(
+                    *taken, *mine
+                )
             )
-        rows = np.asarray(state["rows"], dtype=float)
-        current = np.asarray(state["current"], dtype=float)
-        if rows.shape != self._rows.shape or current.shape != self._current.shape:
-            raise ValueError(
-                f"fleet history snapshot arrays have shapes {rows.shape}/"
-                f"{current.shape}; expected {self._rows.shape}/"
-                f"{self._current.shape}"
-            )
-        self._rows[...] = rows
-        self._current[...] = current
+        restore_array(self._rows, state["rows"], "history rows")
+        restore_array(self._current, state["current"], "history current day")
         self._n_complete = int(state["n_complete"])
         self._write_row = int(state["write_row"])
         self._slot = int(state["slot"])

@@ -14,12 +14,14 @@ These are the naive strategies the related work measures against:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.base import (
     DayHistory,
-    FleetDayHistory,
     OnlinePredictor,
+    PredictorState,
     VectorPredictor,
     as_batch,
 )
@@ -34,16 +36,20 @@ __all__ = [
 ]
 
 
-class PersistencePredictor(OnlinePredictor):
-    """Predicts that the next slot's power equals the current sample."""
+class _PersistenceState(PredictorState):
+    """Persistence keeps no state: its snapshot is geometry alone."""
 
-    def __init__(self, n_slots: int):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        self.n_slots = n_slots
+    kind = "persistence"
 
     def reset(self) -> None:
         pass  # stateless
+
+
+class PersistencePredictor(_PersistenceState, OnlinePredictor):
+    """Predicts that the next slot's power equals the current sample."""
+
+    def __init__(self, n_slots: int):
+        super().__init__(n_slots)
 
     def observe(self, value: float) -> float:
         if value < 0:
@@ -51,31 +57,59 @@ class PersistencePredictor(OnlinePredictor):
         return float(value)
 
 
-class PreviousDayPredictor(OnlinePredictor):
-    """Predicts the next slot from the same slot exactly one day ago."""
+class PersistenceVector(_PersistenceState, VectorPredictor):
+    """Lock-step :class:`PersistencePredictor` over ``B`` nodes."""
 
-    def __init__(self, n_slots: int):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        self.n_slots = n_slots
-        self._history = DayHistory(n_slots=n_slots, depth=1)
+    def __init__(self, n_slots: int, batch_size: int):
+        super().__init__(n_slots, batch_size)
+
+    def observe(self, values: np.ndarray) -> np.ndarray:
+        return as_batch(values, self.batch_size).copy()
+
+
+class _MovingAverageState(PredictorState):
+    """Slot mean over the last ``days`` complete days: state and step.
+
+    The moving average and previous-day (``days = 1``) baselines share
+    this state: one :class:`DayHistory` of ``days`` rows.
+    """
+
+    kind = "moving-average"
+
+    def __init__(self, n_slots: int, days: int, batch_size: Optional[int] = None):
+        super().__init__(n_slots, batch_size)
+        if days < 1:
+            raise ValueError("days must be >= 1")
+        self.days = days
+        self._history = DayHistory(n_slots, days, batch_size)
 
     def reset(self) -> None:
         self._history.reset()
 
-    def observe(self, value: float) -> float:
-        if value < 0:
-            raise ValueError(f"power sample must be non-negative, got {value}")
-        slot = self._history.current_slot
-        if self._history.n_complete_days > 0:
-            prediction = self._history.slot_mean(slot + 1, 1)
+    def config(self) -> dict:
+        return {"days": self.days}
+
+    def _state(self) -> dict:
+        return {"history": self._history.state_dict()}
+
+    def _load_state(self, state: dict) -> None:
+        self._history.load_state_dict(state["history"])
+
+    def _step(self, values):
+        """Record this slot's sample(s); predict the next slot's mean.
+
+        During warm-up (no complete day yet) returns ``values`` itself.
+        """
+        history = self._history
+        if history.n_complete_days > 0:
+            prediction = history.slot_mean(history.current_slot + 1, self.days)
         else:
-            prediction = value
-        self._history.push_slot(value)
-        return float(prediction)
+            prediction = values
+        history.push_slot(values)
+        return prediction
 
 
-class MovingAveragePredictor(OnlinePredictor):
+class MovingAveragePredictor(_MovingAverageState, OnlinePredictor):
     """Predicts the next slot as its unconditioned ``μ_D`` average.
 
     Equivalent to WCMA with ``alpha = 0`` and ``Φ_K ≡ 1``; comparing it
@@ -83,99 +117,37 @@ class MovingAveragePredictor(OnlinePredictor):
     """
 
     def __init__(self, n_slots: int, days: int = 10):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if days < 1:
-            raise ValueError("days must be >= 1")
-        self.n_slots = n_slots
-        self.days = days
-        self._history = DayHistory(n_slots=n_slots, depth=days)
-
-    def reset(self) -> None:
-        self._history.reset()
+        super().__init__(n_slots, days)
 
     def observe(self, value: float) -> float:
         if value < 0:
             raise ValueError(f"power sample must be non-negative, got {value}")
-        slot = self._history.current_slot
-        if self._history.n_complete_days > 0:
-            prediction = self._history.slot_mean(slot + 1, self.days)
-        else:
-            prediction = value
-        self._history.push_slot(value)
-        return float(prediction)
+        return float(self._step(value))
 
 
-class PersistenceVector(VectorPredictor):
-    """Lock-step :class:`PersistencePredictor` over ``B`` nodes."""
-
-    def __init__(self, n_slots: int, batch_size: int):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.n_slots = n_slots
-        self.batch_size = batch_size
-
-    def reset(self) -> None:
-        pass  # stateless
-
-    def observe(self, values: np.ndarray) -> np.ndarray:
-        return as_batch(values, self.batch_size).copy()
-
-
-class PreviousDayVector(VectorPredictor):
-    """Lock-step :class:`PreviousDayPredictor` over ``B`` nodes."""
-
-    def __init__(self, n_slots: int, batch_size: int):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.n_slots = n_slots
-        self.batch_size = batch_size
-        self._history = FleetDayHistory(n_slots=n_slots, depth=1, batch_size=batch_size)
-
-    def reset(self) -> None:
-        self._history.reset()
-
-    def observe(self, values: np.ndarray) -> np.ndarray:
-        values = as_batch(values, self.batch_size)
-        slot = self._history.current_slot
-        if self._history.n_complete_days > 0:
-            prediction = self._history.slot_mean(slot + 1, 1)
-        else:
-            prediction = values.copy()
-        self._history.push_slot(values)
-        return prediction
-
-
-class MovingAverageVector(VectorPredictor):
+class MovingAverageVector(_MovingAverageState, VectorPredictor):
     """Lock-step :class:`MovingAveragePredictor` over ``B`` nodes."""
 
     def __init__(self, n_slots: int, batch_size: int, days: int = 10):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if days < 1:
-            raise ValueError("days must be >= 1")
-        self.n_slots = n_slots
-        self.batch_size = batch_size
-        self.days = days
-        self._history = FleetDayHistory(
-            n_slots=n_slots, depth=days, batch_size=batch_size
-        )
-
-    def reset(self) -> None:
-        self._history.reset()
+        super().__init__(n_slots, days, batch_size)
 
     def observe(self, values: np.ndarray) -> np.ndarray:
-        values = as_batch(values, self.batch_size)
-        slot = self._history.current_slot
-        if self._history.n_complete_days > 0:
-            prediction = self._history.slot_mean(slot + 1, self.days)
-        else:
-            prediction = values.copy()
-        self._history.push_slot(values)
-        return prediction
+        return self._step(as_batch(values, self.batch_size)).copy()
+
+
+class PreviousDayPredictor(MovingAveragePredictor):
+    """Predicts the next slot from the same slot exactly one day ago."""
+
+    kind = "previous-day"
+
+    def __init__(self, n_slots: int):
+        super().__init__(n_slots, days=1)
+
+
+class PreviousDayVector(MovingAverageVector):
+    """Lock-step :class:`PreviousDayPredictor` over ``B`` nodes."""
+
+    kind = "previous-day"
+
+    def __init__(self, n_slots: int, batch_size: int):
+        super().__init__(n_slots, batch_size, days=1)

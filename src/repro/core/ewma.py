@@ -15,15 +15,27 @@ unfolding -- which is exactly the weakness the conditioning factor
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.core.base import OnlinePredictor, VectorPredictor, as_batch
+from repro.core.base import (
+    OnlinePredictor,
+    PredictorState,
+    VectorPredictor,
+    as_batch,
+    restore_array,
+)
 
 __all__ = ["EWMAPredictor", "EWMAVector"]
 
 
-class EWMAPredictor(OnlinePredictor):
-    """Per-slot exponentially weighted moving average predictor.
+class _EWMAState(PredictorState):
+    """EWMA's configuration, state, reset, snapshot and update step.
+
+    The per-slot averages are ``(N,)``, or ``(N, B)`` with a batch; the
+    "slot seen yet" flags stay per slot because every node observes the
+    same slots in the same order.
 
     Parameters
     ----------
@@ -34,14 +46,15 @@ class EWMAPredictor(OnlinePredictor):
         Kansal et al. use 0.5.
     """
 
-    def __init__(self, n_slots: int, gamma: float = 0.5):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
+    kind = "ewma"
+
+    def __init__(self, n_slots: int, gamma: float, batch_size: Optional[int] = None):
+        super().__init__(n_slots, batch_size)
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-        self.n_slots = n_slots
         self.gamma = gamma
-        self._averages = np.zeros(n_slots, dtype=float)
+        sample_shape = () if batch_size is None else (batch_size,)
+        self._averages = np.zeros((n_slots,) + sample_shape, dtype=float)
         self._seen = np.zeros(n_slots, dtype=bool)
         self._slot = 0
 
@@ -50,95 +63,27 @@ class EWMAPredictor(OnlinePredictor):
         self._seen.fill(False)
         self._slot = 0
 
-    def state_dict(self) -> dict:
-        """Snapshot of the online state (resumes bitwise-exactly)."""
+    def config(self) -> dict:
+        return {"gamma": self.gamma}
+
+    def _state(self) -> dict:
         return {
-            "kind": "ewma",
-            "n_slots": self.n_slots,
-            "gamma": self.gamma,
             "averages": self._averages.copy(),
             "seen": self._seen.copy(),
             "slot": self._slot,
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (config must match)."""
-        if state.get("kind") != "ewma":
-            raise ValueError(
-                f"snapshot kind {state.get('kind')!r} is not 'ewma'"
-            )
-        if (
-            int(state["n_slots"]) != self.n_slots
-            or float(state["gamma"]) != self.gamma
-        ):
-            raise ValueError(
-                f"snapshot was taken with n_slots={state['n_slots']}, "
-                f"gamma={state['gamma']}; this predictor has "
-                f"n_slots={self.n_slots}, gamma={self.gamma}"
-            )
-        averages = np.asarray(state["averages"], dtype=float)
-        seen = np.asarray(state["seen"], dtype=bool)
-        if averages.shape != (self.n_slots,) or seen.shape != (self.n_slots,):
-            raise ValueError(
-                f"snapshot arrays have shapes {averages.shape}/{seen.shape}; "
-                f"expected ({self.n_slots},)"
-            )
-        self._averages[...] = averages
-        self._seen[...] = seen
+    def _load_state(self, state: dict) -> None:
+        restore_array(self._averages, state["averages"], "averages")
+        restore_array(self._seen, state["seen"], "seen")
         self._slot = int(state["slot"])
 
-    def observe(self, value: float) -> float:
-        if value < 0:
-            raise ValueError(f"power sample must be non-negative, got {value}")
-        slot = self._slot
-        # Update this slot's average with today's observation.
-        if self._seen[slot]:
-            self._averages[slot] = (
-                self.gamma * value + (1.0 - self.gamma) * self._averages[slot]
-            )
-        else:
-            self._averages[slot] = value
-            self._seen[slot] = True
+    def _step(self, values):
+        """Fold this slot's sample(s) into its average; predict the next slot.
 
-        next_slot = (slot + 1) % self.n_slots
-        if self._seen[next_slot]:
-            prediction = self._averages[next_slot]
-        else:
-            prediction = value  # warm-up: persistence until history exists
-        self._slot = next_slot
-        return float(prediction)
-
-
-class EWMAVector(VectorPredictor):
-    """Lock-step EWMA over a batch of ``B`` independent nodes.
-
-    The per-slot averages grow a trailing batch axis (``(N, B)``); the
-    "slot seen yet" flags stay per slot because every node observes the
-    same slots in the same order.  Elementwise this matches
-    :class:`EWMAPredictor` exactly.
-    """
-
-    def __init__(self, n_slots: int, batch_size: int, gamma: float = 0.5):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-        self.n_slots = n_slots
-        self.batch_size = batch_size
-        self.gamma = gamma
-        self._averages = np.zeros((n_slots, batch_size), dtype=float)
-        self._seen = np.zeros(n_slots, dtype=bool)
-        self._slot = 0
-
-    def reset(self) -> None:
-        self._averages.fill(0.0)
-        self._seen.fill(False)
-        self._slot = 0
-
-    def observe(self, values: np.ndarray) -> np.ndarray:
-        values = as_batch(values, self.batch_size)
+        Returns the next slot's average -- a view into the state when
+        batched -- or ``values`` itself during warm-up.
+        """
         slot = self._slot
         if self._seen[slot]:
             self._averages[slot] = (
@@ -147,11 +92,30 @@ class EWMAVector(VectorPredictor):
         else:
             self._averages[slot] = values
             self._seen[slot] = True
-
         next_slot = (slot + 1) % self.n_slots
-        if self._seen[next_slot]:
-            prediction = self._averages[next_slot].copy()
-        else:
-            prediction = values.copy()  # warm-up: persistence
         self._slot = next_slot
-        return prediction
+        if self._seen[next_slot]:
+            return self._averages[next_slot]
+        return values  # warm-up: persistence until history exists
+
+
+class EWMAPredictor(_EWMAState, OnlinePredictor):
+    """Per-slot exponentially weighted moving average predictor."""
+
+    def __init__(self, n_slots: int, gamma: float = 0.5):
+        super().__init__(n_slots, gamma)
+
+    def observe(self, value: float) -> float:
+        if value < 0:
+            raise ValueError(f"power sample must be non-negative, got {value}")
+        return float(self._step(value))
+
+
+class EWMAVector(_EWMAState, VectorPredictor):
+    """Lock-step :class:`EWMAPredictor` over a batch of ``B`` nodes."""
+
+    def __init__(self, n_slots: int, batch_size: int, gamma: float = 0.5):
+        super().__init__(n_slots, gamma, batch_size)
+
+    def observe(self, values: np.ndarray) -> np.ndarray:
+        return self._step(as_batch(values, self.batch_size)).copy()

@@ -2,15 +2,20 @@
 
 Maps short names to constructors so experiments, the CLI and the node
 and fleet simulators can select predictors by string.  Registered
-defaults:
+defaults, each one implementation (a
+:class:`~repro.core.base.PredictorState`) with a scalar and a fleet
+face, both checkpointable:
 
-========== =====================================================
-``wcma``   :class:`~repro.core.wcma.WCMAPredictor`
-``ewma``   :class:`~repro.core.ewma.EWMAPredictor`
-``persistence`` :class:`~repro.core.baselines.PersistencePredictor`
-``previous-day`` :class:`~repro.core.baselines.PreviousDayPredictor`
-``moving-average`` :class:`~repro.core.baselines.MovingAveragePredictor`
-========== =====================================================
+* ``wcma`` -- :class:`~repro.core.wcma.WCMAPredictor` /
+  :class:`~repro.core.wcma.WCMAVector`
+* ``ewma`` -- :class:`~repro.core.ewma.EWMAPredictor` /
+  :class:`~repro.core.ewma.EWMAVector`
+* ``persistence`` -- :class:`~repro.core.baselines.PersistencePredictor` /
+  :class:`~repro.core.baselines.PersistenceVector`
+* ``previous-day`` -- :class:`~repro.core.baselines.PreviousDayPredictor` /
+  :class:`~repro.core.baselines.PreviousDayVector`
+* ``moving-average`` -- :class:`~repro.core.baselines.MovingAveragePredictor` /
+  :class:`~repro.core.baselines.MovingAverageVector`
 
 plus the learned tier (``ridge``, ``gbm`` --
 :class:`~repro.learn.predictor.LearnedPredictor`, online self-fitting
@@ -252,33 +257,11 @@ def _make_trend(n_slots: int, **kwargs):
 
 
 register("wcma", _make_wcma, vector_factory=_make_wcma_vector)
+register("ewma", EWMAPredictor, vector_factory=EWMAVector)
+register("persistence", PersistencePredictor, vector_factory=PersistenceVector)
+register("previous-day", PreviousDayPredictor, vector_factory=PreviousDayVector)
 register(
-    "ewma",
-    lambda n_slots, gamma=0.5: EWMAPredictor(n_slots, gamma=gamma),
-    vector_factory=lambda n_slots, batch_size, gamma=0.5: EWMAVector(
-        n_slots, batch_size=batch_size, gamma=gamma
-    ),
-)
-register(
-    "persistence",
-    lambda n_slots: PersistencePredictor(n_slots),
-    vector_factory=lambda n_slots, batch_size: PersistenceVector(
-        n_slots, batch_size=batch_size
-    ),
-)
-register(
-    "previous-day",
-    lambda n_slots: PreviousDayPredictor(n_slots),
-    vector_factory=lambda n_slots, batch_size: PreviousDayVector(
-        n_slots, batch_size=batch_size
-    ),
-)
-register(
-    "moving-average",
-    lambda n_slots, days=10: MovingAveragePredictor(n_slots, days=days),
-    vector_factory=lambda n_slots, batch_size, days=10: MovingAverageVector(
-        n_slots, batch_size=batch_size, days=days
-    ),
+    "moving-average", MovingAveragePredictor, vector_factory=MovingAverageVector
 )
 register("pro-energy", _make_proenergy)
 register("ar", _make_ar)

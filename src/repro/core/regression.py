@@ -119,12 +119,7 @@ class ARPredictor(OnlinePredictor):
         if completed == self._mu_days_seen:
             return
         self._mu_days_seen = completed
-        available = self._history.n_complete_days
-        if available == 0:
-            self._mu_row = None
-            return
-        rows = self._history._recent_rows(min(self.history_days, available))
-        self._mu_row = rows.mean(axis=0)
+        self._mu_row = self._history.mu_rows(self.history_days)
 
     def _fit(self) -> None:
         """Least-squares AR(p) fit over the sliding window."""

@@ -19,15 +19,17 @@ over the last *D* days (Eq. 2) and the conditioning factor
     \\eta(k) = \\frac{\\tilde e(n-K+k)}{\\mu_D(n-K+k)},\\qquad
     \\theta(k) = k/K.
 
-Three implementations are provided:
+Two engines are provided:
 
-* :class:`WCMAPredictor` -- the *online* form a sensor node would run:
-  O(D + K) state, one :meth:`observe` call per slot.  Used by the node
-  simulation and the fixed-point hardware model.
-* :class:`WCMAVector` -- the same online recurrence over a ``(B,)``
-  batch of independent nodes in lock-step, used by the fleet simulator
-  (:mod:`repro.management.fleet`).  Elementwise it matches
-  :class:`WCMAPredictor` (parity-tested to 1e-9).
+* The *online* recurrence a sensor node would run: O(D*N + K) state,
+  one ``observe`` call per slot.  Its configuration, state, reset,
+  ``μ_D`` refresh and snapshots are written once; two thin faces add
+  ``observe``.  :class:`WCMAPredictor` steps one node in plain floats
+  (node simulation, serve, the adaptive selector's experts, and the
+  model the fixed-point port mirrors); :class:`WCMAVector` steps a
+  ``(B,)`` batch of independent nodes in lock-step for the fleet
+  simulator (:mod:`repro.management.fleet`) and matches the scalar
+  face elementwise (parity-tested to 1e-9).
 * :class:`WCMABatch` -- a vectorized engine over a whole trace, used by
   the parameter sweeps (Tables II, III, V; Fig. 7), where thousands of
   (alpha, D, K) combinations must be scored.
@@ -49,18 +51,18 @@ MAPE values on sunny sites.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import (
     DayHistory,
-    FleetDayHistory,
     OnlinePredictor,
+    PredictorState,
     VectorPredictor,
     as_batch,
+    restore_array,
 )
 from repro.solar.slots import SlotView
 
@@ -116,7 +118,84 @@ class WCMAParams:
         return np.arange(1, k_param + 1, dtype=float) / k_param
 
 
-class WCMAPredictor(OnlinePredictor):
+class _WCMAState(PredictorState):
+    """WCMA's configuration, state, reset, μ refresh and snapshot.
+
+    The state is the ``D``-day history matrix (:class:`DayHistory`) and
+    a ``K``-deep ring of the most recent ``η`` ratios, oldest first and
+    pre-filled with the neutral 1.0 that stands in for ratios not yet
+    seen; both gain a trailing batch axis when ``batch_size`` is set.
+    ``μ_D`` depends only on *complete* days, so it is cached once per
+    day (with the per-node dawn-guard floor) and ``observe`` is O(K).
+    """
+
+    kind = "wcma"
+
+    def __init__(
+        self,
+        n_slots: int,
+        params: WCMAParams,
+        eta_floor_fraction: float,
+        batch_size: Optional[int] = None,
+    ):
+        super().__init__(n_slots, batch_size)
+        if not 0.0 <= eta_floor_fraction < 1.0:
+            raise ValueError(
+                f"eta_floor_fraction must be in [0, 1), got {eta_floor_fraction}"
+            )
+        self.params = params
+        self.eta_floor_fraction = eta_floor_fraction
+        self._history = DayHistory(n_slots, params.days, batch_size)
+        self._recent_eta = np.ones((params.k,) + self._history.sample_shape)
+        self._theta = WCMAParams.theta(params.k)
+        self._theta_sum = float(self._theta.sum())
+        self._mu_row = None  # mu_D per slot, fixed within a day
+        self._eta_floor = 0.0
+        self._mu_days_seen = 0
+
+    def reset(self) -> None:
+        self._history.reset()
+        self._recent_eta.fill(1.0)
+        self._mu_row = None
+        self._eta_floor = 0.0
+        self._mu_days_seen = 0
+
+    def config(self) -> dict:
+        return {
+            "alpha": self.params.alpha,
+            "days": self.params.days,
+            "k": self.params.k,
+            "eta_floor_fraction": self.eta_floor_fraction,
+        }
+
+    def _state(self) -> dict:
+        return {
+            "history": self._history.state_dict(),
+            "recent_eta": self._recent_eta.copy(),
+        }
+
+    def _load_state(self, state: dict) -> None:
+        self._history.load_state_dict(state["history"])
+        restore_array(self._recent_eta, state["recent_eta"], "recent_eta")
+        # Derived caches: mark stale (-1 never equals a completed-days
+        # count) so _refresh_mu recomputes them on the next observe.
+        self._mu_row = None
+        self._mu_days_seen = -1
+
+    def _refresh_mu(self) -> None:
+        """Recompute the μ_D row and the dawn-guard floor after a day completes."""
+        completed = self._history.total_days_completed
+        if completed == self._mu_days_seen:
+            return
+        self._mu_days_seen = completed
+        self._mu_row = self._history.mu_rows(self.params.days)
+        if self._mu_row is not None:
+            self._eta_floor = np.maximum(
+                self.eta_floor_fraction * self._mu_row.max(axis=0), MU_EPS
+            )
+
+
+class WCMAPredictor(_WCMAState, OnlinePredictor):
     """Online WCMA predictor with O(D*N) memory, as a node would run it.
 
     Parameters
@@ -132,6 +211,14 @@ class WCMAPredictor(OnlinePredictor):
     average term is unavailable and the predictor degrades to pure
     persistence (``ê = ẽ(n)``), which is also what the reference
     implementation of [5] does during warm-up.
+
+    State, reset and snapshots are shared with :class:`WCMAVector`;
+    only :meth:`observe` is written separately, in plain floats,
+    because the one-node paths are hot (the adaptive selector steps 48
+    WCMA experts per boundary, about two million observes per learned
+    robustness matrix) and numpy's per-call overhead dominates at one
+    node: on a 2-core x86 box under CPython 3.11 a ``WCMAVector`` at
+    ``B=1`` takes about 11 µs per observe against about 3 µs here.
     """
 
     def __init__(
@@ -140,159 +227,40 @@ class WCMAPredictor(OnlinePredictor):
         params: WCMAParams,
         eta_floor_fraction: float = ETA_FLOOR_FRACTION,
     ):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if not 0.0 <= eta_floor_fraction < 1.0:
-            raise ValueError(
-                f"eta_floor_fraction must be in [0, 1), got {eta_floor_fraction}"
-            )
-        self.n_slots = n_slots
-        self.params = params
-        self.eta_floor_fraction = eta_floor_fraction
-        self._history = DayHistory(n_slots=n_slots, depth=params.days)
-        self._recent_eta = deque(maxlen=params.k)
-        self._theta = WCMAParams.theta(params.k)
-        self._theta_sum = float(self._theta.sum())
-        self._mu_row: np.ndarray = None  # mu_D per slot, fixed within a day
-        self._eta_floor = 0.0
-        self._mu_days_seen = 0
-
-    def reset(self) -> None:
-        self._history.reset()
-        self._recent_eta.clear()
-        self._mu_row = None
-        self._eta_floor = 0.0
-        self._mu_days_seen = 0
-
-    def state_dict(self) -> dict:
-        """Snapshot of the online state (resumes bitwise-exactly).
-
-        The derived mu-row cache is *not* serialised: loading marks it
-        stale so the next :meth:`observe` recomputes it from the history
-        matrix, which is deterministic -- the resumed predictor emits
-        the same bits as one that never stopped.
-        """
-        return {
-            "kind": "wcma",
-            "n_slots": self.n_slots,
-            "params": {
-                "alpha": self.params.alpha,
-                "days": self.params.days,
-                "k": self.params.k,
-            },
-            "eta_floor_fraction": self.eta_floor_fraction,
-            "history": self._history.state_dict(),
-            "recent_eta": list(self._recent_eta),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (config must match)."""
-        if state.get("kind") != "wcma":
-            raise ValueError(
-                f"snapshot kind {state.get('kind')!r} is not 'wcma'"
-            )
-        params = state["params"]
-        mine = self.params
-        if (
-            int(state["n_slots"]) != self.n_slots
-            or float(params["alpha"]) != mine.alpha
-            or int(params["days"]) != mine.days
-            or int(params["k"]) != mine.k
-        ):
-            raise ValueError(
-                f"snapshot was taken with n_slots={state['n_slots']}, "
-                f"params={params}; this predictor has n_slots="
-                f"{self.n_slots}, params={{'alpha': {mine.alpha}, "
-                f"'days': {mine.days}, 'k': {mine.k}}}"
-            )
-        if float(state["eta_floor_fraction"]) != self.eta_floor_fraction:
-            raise ValueError(
-                f"snapshot eta_floor_fraction {state['eta_floor_fraction']} "
-                f"!= this predictor's {self.eta_floor_fraction}"
-            )
-        self._history.load_state_dict(state["history"])
-        self._recent_eta = deque(
-            (float(v) for v in state["recent_eta"]), maxlen=mine.k
-        )
-        # Derived caches: mark stale (-1 never equals a completed-days
-        # count) so _refresh_mu recomputes them on the next observe.
-        self._mu_row = None
-        self._eta_floor = 0.0
-        self._mu_days_seen = -1
-
-    def _refresh_mu(self) -> None:
-        """Recompute the per-slot mu_D row after a day completes.
-
-        mu_D only depends on *complete* days, so it is constant within a
-        day; caching it makes ``observe`` O(K) instead of O(D).
-        """
-        completed = self._history.total_days_completed
-        if completed == self._mu_days_seen:
-            return
-        self._mu_days_seen = completed
-        available = self._history.n_complete_days
-        if available == 0:
-            self._mu_row = None
-            self._eta_floor = 0.0
-            return
-        rows = self._history._recent_rows(min(self.params.days, available))
-        self._mu_row = rows.mean(axis=0)
-        self._eta_floor = max(
-            self.eta_floor_fraction * float(self._mu_row.max()), MU_EPS
-        )
+        super().__init__(n_slots, params, eta_floor_fraction)
 
     def observe(self, value: float) -> float:
         if value < 0:
             raise ValueError(f"power sample must be non-negative, got {value}")
         self._refresh_mu()
         slot = self._history.current_slot
-        have_history = self._mu_row is not None
-
-        # eta for the *current* slot, appended before computing phi so the
-        # most recent ratio carries the largest weight theta(K)=1.
-        if have_history:
-            mu_now = self._mu_row[slot]
-            eta_now = value / mu_now if mu_now >= self._eta_floor else 1.0
+        mu_row = self._mu_row
+        # Roll the eta ring: the newest ratio lands at the back, where
+        # theta(K) = 1 weights it most.
+        ring = self._recent_eta
+        ring[:-1] = ring[1:]
+        if mu_row is None:
+            ring[-1] = 1.0
+            prediction = value  # warm-up: pure persistence
         else:
-            eta_now = 1.0
-        self._recent_eta.append(eta_now)
-
-        if have_history:
-            mu_next = self._mu_row[(slot + 1) % self.n_slots]
-            phi = self._phi()
+            mu_now = mu_row[slot]
+            ring[-1] = value / mu_now if mu_now >= self._eta_floor else 1.0
+            phi = float(np.dot(self._theta, ring) / self._theta_sum)
             prediction = (
                 self.params.alpha * value
-                + (1.0 - self.params.alpha) * mu_next * phi
+                + (1.0 - self.params.alpha) * mu_row[(slot + 1) % self.n_slots] * phi
             )
-        else:
-            prediction = value  # warm-up: pure persistence
-
         self._history.push_slot(value)
         return float(prediction)
 
-    def _phi(self) -> float:
-        """Conditioning factor over the buffered ratios (Eq. 3).
 
-        With fewer than K ratios buffered (start of trace) the missing,
-        oldest ratios are taken as the neutral 1.0.
-        """
-        k_param = self.params.k
-        n_have = len(self._recent_eta)
-        etas = np.ones(k_param, dtype=float)
-        if n_have:
-            etas[k_param - n_have :] = list(self._recent_eta)
-        return float(np.dot(self._theta, etas) / self._theta_sum)
-
-
-class WCMAVector(VectorPredictor):
+class WCMAVector(_WCMAState, VectorPredictor):
     """Lock-step WCMA over a batch of ``B`` independent nodes.
 
-    State mirrors :class:`WCMAPredictor` with a trailing batch axis:
-    the history matrix is ``(D, N, B)``, the ``η`` ring buffer is
-    ``(K, B)`` (pre-filled with the neutral 1.0, matching the scalar
-    predictor's padding of missing ratios), and the dawn-guard floor is
-    per node.  The slot/day counters are shared scalars because every
-    node crosses the same boundary at once.
+    The state of :class:`WCMAPredictor` with a trailing batch axis: the
+    history matrix is ``(D, N, B)``, the ``η`` ring is ``(K, B)`` and
+    the dawn-guard floor is per node.  The slot/day counters are shared
+    scalars because every node crosses the same boundary at once.
 
     Parameters are shared across the batch; a heterogeneous fleet mixes
     parameter sets by running one :class:`WCMAVector` per distinct
@@ -307,76 +275,27 @@ class WCMAVector(VectorPredictor):
         batch_size: int,
         eta_floor_fraction: float = ETA_FLOOR_FRACTION,
     ):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if not 0.0 <= eta_floor_fraction < 1.0:
-            raise ValueError(
-                f"eta_floor_fraction must be in [0, 1), got {eta_floor_fraction}"
-            )
-        self.n_slots = n_slots
-        self.params = params
-        self.batch_size = batch_size
-        self.eta_floor_fraction = eta_floor_fraction
-        self._history = FleetDayHistory(
-            n_slots=n_slots, depth=params.days, batch_size=batch_size
-        )
-        self._theta = WCMAParams.theta(params.k)
-        self._theta_sum = float(self._theta.sum())
-        self._recent_eta = np.ones((params.k, batch_size), dtype=float)
-        self._mu_rows: np.ndarray = None  # (N, B); fixed within a day
-        self._eta_floor = np.zeros(batch_size, dtype=float)
-        self._mu_days_seen = 0
-
-    def reset(self) -> None:
-        self._history.reset()
-        self._recent_eta.fill(1.0)
-        self._mu_rows = None
-        self._eta_floor.fill(0.0)
-        self._mu_days_seen = 0
-
-    def _refresh_mu(self) -> None:
-        completed = self._history.total_days_completed
-        if completed == self._mu_days_seen:
-            return
-        self._mu_days_seen = completed
-        self._mu_rows = self._history.mu_rows(self.params.days)
-        if self._mu_rows is None:
-            self._eta_floor.fill(0.0)
-            return
-        self._eta_floor = np.maximum(
-            self.eta_floor_fraction * self._mu_rows.max(axis=0), MU_EPS
-        )
+        super().__init__(n_slots, params, eta_floor_fraction, batch_size)
 
     def observe(self, values: np.ndarray) -> np.ndarray:
         values = as_batch(values, self.batch_size)
         self._refresh_mu()
         slot = self._history.current_slot
-        have_history = self._mu_rows is not None
-
-        if have_history:
-            mu_now = self._mu_rows[slot]
-            bright = mu_now >= self._eta_floor
-            eta_now = np.ones(self.batch_size, dtype=float)
-            np.divide(values, mu_now, out=eta_now, where=bright)
+        mu_rows = self._mu_row
+        ring = self._recent_eta
+        ring[:-1] = ring[1:]
+        if mu_rows is None:
+            ring[-1] = 1.0
+            prediction = values.copy()  # warm-up: pure persistence
         else:
-            eta_now = np.ones(self.batch_size, dtype=float)
-        # Roll the (K, B) ring: oldest ratio falls off the front, the
-        # newest lands at the back where theta(K) = 1 weights it most.
-        self._recent_eta[:-1] = self._recent_eta[1:]
-        self._recent_eta[-1] = eta_now
-
-        if have_history:
-            mu_next = self._mu_rows[(slot + 1) % self.n_slots]
-            phi = self._theta @ self._recent_eta / self._theta_sum
+            mu_now = mu_rows[slot]
+            ring[-1] = 1.0
+            np.divide(values, mu_now, out=ring[-1], where=mu_now >= self._eta_floor)
+            phi = self._theta @ ring / self._theta_sum
             prediction = (
                 self.params.alpha * values
-                + (1.0 - self.params.alpha) * mu_next * phi
+                + (1.0 - self.params.alpha) * mu_rows[(slot + 1) % self.n_slots] * phi
             )
-        else:
-            prediction = values.copy()  # warm-up: pure persistence
-
         self._history.push_slot(values)
         return prediction
 

@@ -179,12 +179,11 @@ class FixedPointWCMA(OnlinePredictor):
         if completed == self._mu_days_seen:
             return
         self._mu_days_seen = completed
-        available = self._history.n_complete_days
-        if available == 0:
+        rows = self._history.recent_rows(self.params.days)
+        if not len(rows):
             self._mu_codes = None
             self._eta_floor_code = 0
             return
-        rows = self._history._recent_rows(min(self.params.days, available))
         # Integer mean, matching a 32-bit accumulator divided on the MCU.
         sums = rows.sum(axis=0).astype(np.int64)
         self._mu_codes = sums // rows.shape[0]

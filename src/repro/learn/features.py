@@ -16,7 +16,7 @@ the same problem, grounded in this repo's own machinery:
 * **Day history** -- the same slot and the *next* slot (the prediction
   target's slot, WCMA's ``mu_D(n+1)``) on previous days, single-day
   lags plus a ``mu_days``-day mean via
-  :class:`~repro.core.base.FleetDayHistory`.
+  :class:`~repro.core.base.DayHistory`.
 * **Rolling statistics** -- mean/std of the last ``rolling_window``
   samples.
 * **Clear-sky geometry** -- Haurwitz clear-sky GHI at the current and
@@ -40,7 +40,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.base import FleetDayHistory
+from repro.core.base import DayHistory
 from repro.solar.clearsky import clearsky_profile
 
 __all__ = [
@@ -144,7 +144,7 @@ class FeatureState:
         self.batch_size = batch_size
         self.config = config if config is not None else FeatureConfig()
         depth = max(self.config.mu_days, 2)
-        self._hist = FleetDayHistory(n_slots, depth, batch_size)
+        self._hist = DayHistory(n_slots, depth, batch_size)
         self._roll = np.zeros((self.config.rolling_window, batch_size), dtype=float)
         self._prev1 = np.zeros(batch_size, dtype=float)
         self._prev2 = np.zeros(batch_size, dtype=float)
@@ -204,8 +204,8 @@ class FeatureState:
         n_days = self._hist.n_complete_days
         next_slot = (slot + 1) % self.n_slots
         if n_days >= 1:
-            same_col = self._hist.slot_history(slot, 2)
-            next_col = self._hist.slot_history(next_slot, 2)
+            same_col = self._hist.slot_column(slot, 2)
+            next_col = self._hist.slot_column(next_slot, 2)
             prev_day_same = same_col[-1]
             prev_day_next = next_col[-1]
             prev2_day_next = next_col[0] if n_days >= 2 else next_col[-1]

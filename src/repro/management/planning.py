@@ -87,10 +87,9 @@ class ProfilePlanningController(Controller):
 
     def expected_daily_average_watts(self) -> float:
         """Mean harvest power over a day, from the learned profile."""
-        available = self._profile.n_complete_days
-        if available == 0:
+        rows = self._profile.recent_rows(self.profile_days)
+        if not len(rows):
             return self._bootstrap_average or 0.0
-        rows = self._profile._recent_rows(min(self.profile_days, available))
         return float(rows.mean())
 
     def decide(self, predicted_watts: float, state_of_charge: float) -> float:

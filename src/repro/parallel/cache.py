@@ -253,7 +253,10 @@ class ResultCache:
             return
         for sub in sorted(self.root.iterdir()):
             if sub.is_dir() and len(sub.name) == 2:
-                yield from sorted(sub.glob("*.pkl"))
+                try:
+                    yield from sorted(sub.glob("*.pkl"))
+                except FileNotFoundError:
+                    pass  # a concurrent clear removed the emptied shard
 
     def info(self) -> dict:
         """Entry count, total bytes, root and salt (for ``cache info``).

@@ -6,7 +6,9 @@ daemon (:mod:`repro.serve.daemon` speaks stdin-JSONL over it,
 :class:`~repro.core.base.OnlinePredictor` instances, each fed one power
 sample per slot and each checkpointed through a
 :class:`~repro.serve.state.StateStore` so a restarted daemon resumes
-exactly.
+exactly.  Only checkpointable predictors can be served: ``wcma``,
+``ewma``, ``persistence``, ``previous-day``, ``moving-average``,
+``ridge`` and ``gbm``; any other name is refused at construction.
 
 Every request and response is one JSON-shaped dict.  Responses to
 ``observe``/``forecast`` are **audit lines**: they carry the site, the
@@ -82,7 +84,9 @@ class ForecastService:
         Slots per day served to every predictor (``N``); a site's
         native samples-per-day must be divisible by it.
     predictor:
-        Registry name (``wcma``, ``ewma``, ...) instantiated per site.
+        Registry name (``wcma``, ``ewma``, ...) instantiated per site;
+        it must support ``state_dict`` (every audit line digests the
+        state), else construction raises ``ValueError``.
     state_dir:
         Directory of the :class:`~repro.serve.state.StateStore`; None
         disables persistence (state lives and dies with the process).
@@ -132,9 +136,17 @@ class ForecastService:
         self._op_counts: Dict[str, int] = {}
         self._resumed: Dict[str, str] = {}  # site -> digest resumed from
         self._artifacts: Dict[str, str] = {}  # site -> artifact digest
-        # Fail fast on an unknown predictor name / bad kwargs, before
-        # the daemon prints its ready line.
-        make_predictor(self.predictor_name, n_slots, **self.predictor_kwargs)
+        # Fail fast on an unknown predictor name, bad kwargs or a
+        # predictor without snapshots, before the daemon prints its
+        # ready line.
+        probe = make_predictor(self.predictor_name, n_slots, **self.predictor_kwargs)
+        try:
+            probe.state_dict()
+        except NotImplementedError:
+            raise ValueError(
+                f"predictor {self.predictor_name!r} does not support state "
+                "checkpointing, so it cannot be served"
+            ) from None
 
     # ------------------------------------------------------------------
     # Front door

@@ -8,11 +8,18 @@ observed slots so a restarted daemon resumes exactly where the old one
 stopped -- the checkpoint/resume tests pin the resumed prediction
 stream bitwise against an uninterrupted run.
 
+Checkpointable predictors: ``wcma``, ``ewma``, ``persistence``,
+``previous-day`` and ``moving-average`` (each snapshot comes from the
+predictor's shared :class:`~repro.core.base.PredictorState`), plus the
+learned tier (``ridge``, ``gbm``).  The other registry names have no
+snapshot, and :class:`~repro.serve.service.ForecastService` refuses
+them at construction.
+
 On-disk format (one file per ``(site, predictor)`` pair under the state
 directory):
 
 * a pickled **envelope** ``{"format": "repro-solar predictor state",
-  "version": 1, "site": ..., "predictor": ..., "n_slots": ...,
+  "version": 2, "site": ..., "predictor": ..., "n_slots": ...,
   "state": <state_dict>}`` -- the format marker and version are
   validated on load, so a stale layout from a future schema (or a file
   that is not a checkpoint at all) is a clear error, never a silently
@@ -48,8 +55,10 @@ __all__ = [
 
 STATE_FORMAT = "repro-solar predictor state"
 
-#: Bump when the envelope layout changes; load refuses other versions.
-STATE_VERSION = 1
+#: Bump when the envelope or snapshot layout changes; load refuses
+#: other versions.  Version 2: snapshots carry ``batch_size`` and the
+#: predictor config under ``"config"``, and WCMA's eta ring is an array.
+STATE_VERSION = 2
 
 _SUFFIX = ".state.pkl"
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.base import FleetDayHistory
+from repro.core.base import DayHistory
 from repro.core.registry import make_vector_predictor, supports_vector
 from repro.management.consumer import DutyCycledLoad
 from repro.management.controller import (
@@ -124,8 +124,10 @@ class TestVectorisedModels:
 
 
 class TestFleetDayHistory:
+    """The batched form of DayHistory, as the fleet kernels use it."""
+
     def test_matches_scalar_day_history_semantics(self):
-        history = FleetDayHistory(n_slots=3, depth=2, batch_size=2)
+        history = DayHistory(n_slots=3, depth=2, batch_size=2)
         assert np.isnan(history.slot_mean(0)).all()
         for day in range(3):
             for slot in range(3):
@@ -138,11 +140,11 @@ class TestFleetDayHistory:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FleetDayHistory(0, 1, 1)
+            DayHistory(0, 1, 1)
         with pytest.raises(ValueError):
-            FleetDayHistory(1, 0, 1)
+            DayHistory(1, 0, 1)
         with pytest.raises(ValueError):
-            FleetDayHistory(1, 1, 0)
+            DayHistory(1, 1, 0)
 
 
 class TestVectorKernels:

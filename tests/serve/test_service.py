@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.registry import make_predictor
+from repro.core.registry import available_predictors, make_predictor
 from repro.serve import ForecastService
 from repro.solar.datasets import build_dataset
 from repro.solar.slots import SlotView
@@ -82,6 +82,18 @@ class TestProtocol:
     def test_unknown_predictor_rejected_at_construction(self):
         with pytest.raises(KeyError, match="nope"):
             ForecastService(predictor="nope")
+
+    @pytest.mark.parametrize("name", available_predictors())
+    def test_every_registry_name_serves_or_is_refused(self, name):
+        """A name is refused at construction or observes cleanly."""
+        try:
+            svc = ForecastService(n_slots=48, predictor=name)
+        except ValueError as exc:
+            assert name in str(exc) and "checkpoint" in str(exc)
+            return
+        svc.handle({"op": "register", "site": "SPMD"})
+        response = svc.handle({"op": "observe", "site": "SPMD", "value": 80.0})
+        assert response["ok"], response
 
     def test_sites_and_stats(self):
         svc = ForecastService(n_slots=48)
@@ -191,6 +203,37 @@ class TestPersistence:
             - np.array([e["prediction"] for e in expected])
         )
         assert diffs.max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name", ["persistence", "previous-day", "moving-average"]
+    )
+    def test_baselines_restart_resume_exactly(self, tmp_path, name):
+        values = np.abs(np.random.default_rng(5).normal(200, 70, 200))
+        unbroken = ForecastService(n_slots=48, predictor=name)
+        unbroken.handle({"op": "register", "site": "SPMD"})
+        expected = [
+            unbroken.handle({"op": "observe", "site": "SPMD", "value": float(v)})
+            for v in values
+        ]
+        first = ForecastService(n_slots=48, predictor=name, state_dir=tmp_path)
+        first.handle({"op": "register", "site": "SPMD"})
+        cut = 110
+        head = [
+            first.handle({"op": "observe", "site": "SPMD", "value": float(v)})
+            for v in values[:cut]
+        ]
+        del first
+
+        second = ForecastService(n_slots=48, predictor=name, state_dir=tmp_path)
+        reg = second.handle({"op": "register", "site": "SPMD"})
+        assert reg["resumed_from"] == head[-1]["state_digest"]
+        tail = [
+            second.handle({"op": "observe", "site": "SPMD", "value": float(v)})
+            for v in values[cut:]
+        ]
+        for got, want in zip(head + tail, expected):
+            assert got["prediction"] == want["prediction"]
+            assert got["state_digest"] == want["state_digest"]
 
     def test_checkpoint_every_batches_writes(self, tmp_path):
         svc = ForecastService(n_slots=48, state_dir=tmp_path, checkpoint_every=10)

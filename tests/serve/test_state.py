@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.base import DayHistory, OnlinePredictor
 from repro.core.ewma import EWMAPredictor
-from repro.core.registry import make_predictor
+from repro.core.registry import make_predictor, make_vector_predictor
 from repro.core.wcma import WCMAParams, WCMAPredictor
 from repro.serve.state import (
     STATE_FORMAT,
@@ -111,6 +111,65 @@ def make_and_replay(name, values):
     return p
 
 
+#: The five predictors written once as a PredictorState, each with a
+#: non-default configuration so a config mix-up cannot pass unnoticed.
+SHARED_STATE = {
+    "wcma": {"alpha": 0.5, "days": 4, "k": 3},
+    "ewma": {"gamma": 0.3},
+    "persistence": {},
+    "previous-day": {},
+    "moving-average": {"days": 3},
+}
+
+
+def _shared(name, batch):
+    kwargs = SHARED_STATE[name]
+    if batch is None:
+        return make_predictor(name, 48, **kwargs)
+    return make_vector_predictor(name, 48, batch, **kwargs)
+
+
+def _feed(predictor, rows):
+    if rows.ndim == 2:
+        return predictor.run(rows)
+    return np.array([predictor.observe(float(v)) for v in rows])
+
+
+class TestSharedStateRoundTrip:
+    """Scalar and fleet faces snapshot the same state, bitwise."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("name", sorted(SHARED_STATE))
+    @pytest.mark.parametrize("cut", [48 * 2 + 17, 48 * 5])
+    def test_resume_is_bitwise(self, name, batch, cut):
+        rows = sample_stream(days=7)
+        if batch is not None:
+            rows = np.stack([rows * (0.5 + 0.25 * b) for b in range(batch)], axis=1)
+        unbroken = _shared(name, batch)
+        expected = _feed(unbroken, rows)
+
+        first = _shared(name, batch)
+        head = _feed(first, rows[:cut])
+        snapshot = pickle.loads(pickle.dumps(first.state_dict()))
+        assert snapshot["batch_size"] == batch
+        second = _shared(name, batch)
+        second.load_state_dict(snapshot)
+        tail = _feed(second, rows[cut:])
+
+        np.testing.assert_array_equal(np.concatenate([head, tail]), expected)
+        assert state_digest(second.state_dict()) == state_digest(unbroken.state_dict())
+
+    @pytest.mark.parametrize("name", sorted(SHARED_STATE))
+    def test_scalar_snapshot_refused_by_fleet_face(self, name):
+        with pytest.raises(ValueError, match="batch_size"):
+            _shared(name, 3).load_state_dict(_shared(name, None).state_dict())
+
+    def test_previous_day_is_not_a_moving_average_snapshot(self):
+        snap = make_predictor("moving-average", 48, days=1).state_dict()
+        with pytest.raises(ValueError, match="not 'previous-day'"):
+            make_predictor("previous-day", 48).load_state_dict(snap)
+
+
 class TestStateDigest:
     def test_insertion_order_invariant(self):
         a = {"x": 1, "y": {"p": 2.0, "q": 3.0}}
@@ -201,3 +260,20 @@ class TestStateStore:
             ("MY SITE/2024", "previous-day"),
             ("SPMD", "wcma"),
         ]
+
+    def test_version_1_envelope_refused(self, tmp_path):
+        """Snapshots from before the shared-state layout cannot load."""
+        store = StateStore(tmp_path)
+        path = store.path_for("SPMD", "wcma")
+        p = PREDICTORS["wcma"]()
+        p.observe(100.0)
+        envelope = {
+            "format": STATE_FORMAT,
+            "version": 1,
+            "site": "SPMD",
+            "predictor": "wcma",
+            "state": {"predictor": p.state_dict(), "observed": 1},
+        }
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(StateError, match="version 1"):
+            store.load("SPMD", "wcma")
